@@ -138,24 +138,31 @@ fn exec_segments(stages: &[usize], backend: KernelBackend, fuse: bool) -> Vec<Ex
     segs
 }
 
+/// Bytes before the pixels on the wire: the CRC plus the 32-byte header.
+const FRAME_HEADER_BYTES: usize = 36;
+
 /// Wire format: `crc32(rest) || header || RGBA payload`. The checksum
 /// covers everything after itself, so a flipped bit anywhere — header or
 /// pixels — is detected (a flip inside the CRC field itself simply makes
 /// the stored value wrong).
+///
+/// One pass, one copy: header and pixels are written straight into the
+/// message buffer behind a zeroed CRC field, which is then patched in
+/// place with the checksum of bytes `4..`.
 pub fn encode_frame(frame: &Frame) -> Bytes {
     let img = frame.image.as_ref().expect("native frames carry pixels");
-    let mut content = BytesMut::with_capacity(32 + img.as_bytes().len());
-    content.put_u64(frame.id);
-    content.put_u32(frame.strip.index);
-    content.put_u32(frame.strip.count);
-    content.put_u32(frame.strip.y0);
-    content.put_u32(frame.strip.height);
-    content.put_u32(frame.strip.full_height);
-    content.put_u32(frame.full_width);
-    content.put_slice(img.as_bytes());
-    let mut buf = BytesMut::with_capacity(4 + content.len());
-    buf.put_u32(crc32(&content));
-    buf.put_slice(&content);
+    let mut buf = BytesMut::with_capacity(FRAME_HEADER_BYTES + img.as_bytes().len());
+    buf.put_u32(0);
+    buf.put_u64(frame.id);
+    buf.put_u32(frame.strip.index);
+    buf.put_u32(frame.strip.count);
+    buf.put_u32(frame.strip.y0);
+    buf.put_u32(frame.strip.height);
+    buf.put_u32(frame.strip.full_height);
+    buf.put_u32(frame.full_width);
+    buf.put_slice(img.as_bytes());
+    let crc = crc32(&buf[4..]);
+    buf[..4].copy_from_slice(&crc.to_be_bytes());
     buf.freeze()
 }
 
@@ -166,7 +173,7 @@ enum DecodeFailure {
 }
 
 fn try_decode_pooled(mut b: Bytes, pool: &BufferPool) -> Result<Frame, DecodeFailure> {
-    if b.len() < 36 {
+    if b.len() < FRAME_HEADER_BYTES {
         return Err(DecodeFailure::Truncated);
     }
     let crc = b.get_u32();
@@ -492,16 +499,21 @@ pub fn run_native(cfg: &RunConfig, scene: Arc<Scene>) -> NativeReport {
                             let src = src_ranks[(f % src_ranks.len() as u64) as usize];
                             let raw = recv_bytes(&ep, reliable, src);
                             let r0 = Instant::now();
+                            // Decode (CRC verify + one pooled copy) is
+                            // the handoff's cost, not the stage's: it is
+                            // a Fetch span between the wait and compute.
                             let mut frame = decode_frame_pooled(raw, src, &pool)
                                 .expect("frame survived transport");
+                            let d0 = Instant::now();
                             let ctx = frame.ctx(cfg.seed);
                             rec.span(frame.id, Phase::Wait, w0, r0);
+                            rec.span(frame.id, Phase::Fetch, r0, d0);
                             // A merged group's stages run back-to-back on
                             // this thread: internal hops are plain
                             // function calls, no message, no copy — and a
                             // fused pointwise run collapses further into
                             // one traversal of the strip.
-                            let mut prev = r0;
+                            let mut prev = d0;
                             for seg in &segments {
                                 let img = frame.image.as_mut().expect("pixels");
                                 match seg {
@@ -592,23 +604,30 @@ pub fn run_native(cfg: &RunConfig, scene: Arc<Scene>) -> NativeReport {
                 let mut rec = SpanRecorder::new(tracing, start, rank, StageKind::Transfer, None);
                 let mut out = Vec::with_capacity(cfg.frames as usize);
                 for f in 0..cfg.frames {
-                    let w0 = Instant::now();
+                    // End of the last recorded span on this thread.
+                    let mut mark = Instant::now();
                     let mut strips = Vec::with_capacity(swap_ranks.len());
+                    // Per strip: a Wait span until `recv` returns, then a
+                    // Fetch span for its decode.
                     for lane in &swap_ranks {
                         let r = lane[(f % lane.len() as u64) as usize];
-                        let frame = decode_frame_pooled(recv_bytes(&ep, reliable, r), r, &pool)
-                            .expect("frame survived transport");
+                        let raw = recv_bytes(&ep, reliable, r);
+                        let r0 = Instant::now();
+                        let frame =
+                            decode_frame_pooled(raw, r, &pool).expect("frame survived transport");
+                        let d0 = Instant::now();
+                        rec.span(f, Phase::Wait, mark, r0);
+                        rec.span(f, Phase::Fetch, r0, d0);
+                        mark = d0;
                         strips.push((
                             vswap::mirrored_info(frame.strip),
                             frame.image.expect("pixels"),
                         ));
                     }
-                    let c0 = Instant::now();
                     // The assembled frame leaves with the report, so it
                     // cannot be pooled — but the strips can.
                     out.push(Image::assemble(&strips));
-                    rec.span(f, Phase::Wait, w0, c0);
-                    rec.span(f, Phase::Compute, c0, Instant::now());
+                    rec.span(f, Phase::Compute, mark, Instant::now());
                     for (_, strip) in strips {
                         pool.release(strip);
                     }
@@ -749,6 +768,67 @@ mod tests {
         assert_eq!(decoded.id, 42);
         assert_eq!(decoded.strip, frame.strip);
         assert_eq!(decoded.image.unwrap(), img);
+    }
+
+    #[test]
+    fn encode_frame_wire_bytes_are_pinned() {
+        // The exact layout perfbench's replay relies on (`bytes[36..]` are
+        // the pixels): big-endian CRC over bytes 4.., then id, index,
+        // count, y0, height, full_height, full_width, then RGBA rows.
+        let mut img = Image::new(2, 2);
+        img.set(0, 0, [1, 2, 3, 4]);
+        img.set(1, 0, [5, 6, 7, 8]);
+        img.set(0, 1, [9, 10, 11, 12]);
+        img.set(1, 1, [13, 14, 15, 255]);
+        let frame = Frame {
+            id: 0x0102_0304_0506_0708,
+            strip: StripInfo {
+                index: 1,
+                count: 2,
+                y0: 2,
+                height: 2,
+                full_height: 4,
+            },
+            full_width: 2,
+            image: Some(img),
+        };
+        #[rustfmt::skip]
+        let expect: [u8; 52] = [
+            0xE1, 0x06, 0xAB, 0xAD,
+            1, 2, 3, 4, 5, 6, 7, 8,
+            0, 0, 0, 1,  0, 0, 0, 2,  0, 0, 0, 2,
+            0, 0, 0, 2,  0, 0, 0, 4,  0, 0, 0, 2,
+            1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 255,
+        ];
+        assert_eq!(&encode_frame(&frame)[..], &expect[..]);
+
+        // A full-size strip of the 400×400, p = 2 film.
+        let mut strip = Image::new(400, 200);
+        for y in 0..200u32 {
+            for x in 0..400u32 {
+                strip.set(x, y, [(x * 7 + y) as u8, (x ^ y) as u8, (x * y) as u8, 255]);
+            }
+        }
+        let frame = Frame {
+            id: 7,
+            strip: StripInfo {
+                index: 1,
+                count: 2,
+                y0: 200,
+                height: 200,
+                full_height: 400,
+            },
+            full_width: 400,
+            image: Some(strip),
+        };
+        let wire = encode_frame(&frame);
+        let fnv1a = wire.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        });
+        assert_eq!(wire.len(), 320_036);
+        assert_eq!(wire[..4], 0x31B4_1189u32.to_be_bytes());
+        assert_eq!(fnv1a, 0xa808_5a10_f9fc_c572);
+        assert_eq!(decode_frame(wire).image, frame.image);
     }
 
     #[test]
@@ -972,6 +1052,56 @@ mod tests {
 
         let untraced = run_native(&cfg(RendererMode::SingleRenderer, 2, 3), scene());
         assert!(untraced.trace.is_none(), "no trace unless requested");
+    }
+
+    #[test]
+    fn decode_is_a_fetch_span_per_received_strip() {
+        for auto_place in [false, true] {
+            let mut c = cfg(RendererMode::SingleRenderer, 2, 4);
+            c.trace = true;
+            c.auto_place = auto_place;
+            let report = run_native(&c, scene());
+            let log = report.trace.expect("traced run");
+            let mut by_core: std::collections::BTreeMap<u8, Vec<&crate::trace::TraceEvent>> =
+                Default::default();
+            for e in log.events() {
+                by_core.entry(e.core).or_default().push(e);
+            }
+            let mut received = 0;
+            for (core, mut spans) in by_core {
+                spans.sort_by_key(|e| (e.t0, e.t1));
+                assert!(
+                    spans.windows(2).all(|w| w[0].t1 <= w[1].t0),
+                    "core {core}: spans overlap (auto_place={auto_place})"
+                );
+                let fetches: Vec<_> = spans.iter().filter(|e| e.phase == Phase::Fetch).collect();
+                let waits = spans.iter().filter(|e| e.phase == Phase::Wait).count();
+                let frames: std::collections::BTreeSet<u64> =
+                    spans.iter().map(|e| e.frame).collect();
+                // Strips this thread received: the renderer none, the
+                // transfer thread one per lane per frame, a filter
+                // thread one per frame it handled.
+                let strips = match spans[0].kind {
+                    StageKind::Render => 0,
+                    StageKind::Transfer => (c.pipelines as u64 * c.frames) as usize,
+                    _ => frames.len(),
+                };
+                assert_eq!(fetches.len(), strips, "core {core} ({:?})", spans[0].kind);
+                assert_eq!(waits, strips, "core {core}: one wait per received strip");
+                // Each Fetch starts the instant its Wait ended (`recv`
+                // returned) and its strip's frame is the wait's frame.
+                for f in fetches {
+                    assert!(spans
+                        .iter()
+                        .any(|w| w.phase == Phase::Wait && w.t1 == f.t0 && w.frame == f.frame));
+                }
+                received += strips;
+            }
+            if !auto_place {
+                // 4 frames × 2 lanes into five filter threads + transfer.
+                assert_eq!(received, 4 * 2 * 6);
+            }
+        }
     }
 
     #[test]
