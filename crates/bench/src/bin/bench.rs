@@ -25,7 +25,8 @@
 //! three fixed arrangements in virtual time and writes
 //! `BENCH_autoplace.json`. `kernels` isolates the filter kernels
 //! (scalar/simd × fused/unfused × threads, no render or transport) and
-//! writes `BENCH_kernels.json`.
+//! writes `BENCH_kernels.json`. An unknown mode word prints usage and
+//! exits 2.
 
 use scc_bench::autoplace::measure_autoplace;
 use scc_bench::dvfs::measure_dvfs;
@@ -37,41 +38,113 @@ use scc_bench::standard_scene;
 use scc_bench::tasks::measure_tasks;
 use scc_core::{Fidelity, RunConfig};
 
+/// Every mode: the word that selects it, the JSON file it writes unless
+/// `--out` says otherwise, its default pipeline count, and the
+/// measurement. The first, native throughput, has no word: it runs when
+/// the first argument is absent or a flag.
+type Mode = (&'static str, &'static str, u32, fn(&Opts) -> Outcome);
+const MODES: [Mode; 7] = [
+    ("", "BENCH_native_pipeline.json", 2, native),
+    ("recovery", "BENCH_recovery.json", 3, recovery),
+    ("autoplace", "BENCH_autoplace.json", 2, autoplace),
+    ("kernels", "BENCH_kernels.json", 2, kernels),
+    ("tasks", "BENCH_tasks.json", 2, tasks),
+    ("serving", "BENCH_serving.json", 2, serving),
+    ("dvfs", "BENCH_dvfs.json", 2, dvfs),
+];
+
+const USAGE: &str = "usage: bench [recovery|autoplace|kernels|tasks|serving|dvfs] \
+                     [--smoke] [--out PATH] [--frames N] [--size WxH] [--pipelines P] \
+                     [--threads a,b] [--kills a,b] [--sessions a,b]";
+
+/// The parsed command line every mode reads.
+struct Opts {
+    args: Vec<String>,
+    smoke: bool,
+    width: u32,
+    height: u32,
+    frames: u64,
+    pipelines: u32,
+    threads: Vec<u32>,
+}
+
+impl Opts {
+    fn smoke_tag(&self) -> &'static str {
+        if self.smoke {
+            " (smoke)"
+        } else {
+            ""
+        }
+    }
+
+    /// The film configuration the pipeline modes measure.
+    fn cfg(&self) -> RunConfig {
+        RunConfig::builder()
+            .pipelines(self.pipelines)
+            .size(self.width, self.height)
+            .frames(self.frames)
+            .seed(0x51CC_F11F)
+            .fidelity(Fidelity::Full)
+            .build()
+            .expect("bench configuration")
+    }
+}
+
+/// What a mode hands back: its text table, its JSON, and the message of
+/// the first gate it failed.
+struct Outcome {
+    text: String,
+    json: String,
+    fatal: Option<String>,
+}
+
+impl Outcome {
+    /// `gates` pairs each gate's failure condition with the message
+    /// printed when it holds; the first failure wins.
+    fn new(text: String, json: String, gates: Vec<(bool, String)>) -> Outcome {
+        let fatal = gates
+            .into_iter()
+            .find(|(failed, _)| *failed)
+            .map(|(_, msg)| msg);
+        Outcome { text, json, fatal }
+    }
+}
+
 fn parse_flag(args: &[String], name: &str) -> Option<String> {
     args.iter()
         .position(|a| a == name)
         .and_then(|i| args.get(i + 1).cloned())
 }
 
+/// A comma-separated list flag, or `default` when absent.
+fn parse_list<T: std::str::FromStr>(args: &[String], flag: &str, default: Vec<T>) -> Vec<T> {
+    parse_flag(args, flag)
+        .map(|v| {
+            v.split(',')
+                .map(|t| t.trim().parse().unwrap_or_else(|_| panic!("{flag} a,b,c")))
+                .collect()
+        })
+        .unwrap_or(default)
+}
+
 fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
-    let recovery_mode = args.first().map(|a| a == "recovery").unwrap_or(false);
-    let autoplace_mode = args.first().map(|a| a == "autoplace").unwrap_or(false);
-    let kernels_mode = args.first().map(|a| a == "kernels").unwrap_or(false);
-    let tasks_mode = args.first().map(|a| a == "tasks").unwrap_or(false);
-    let serving_mode = args.first().map(|a| a == "serving").unwrap_or(false);
-    let dvfs_mode = args.first().map(|a| a == "dvfs").unwrap_or(false);
-    if recovery_mode || autoplace_mode || kernels_mode || tasks_mode || serving_mode || dvfs_mode {
-        args.remove(0);
-    }
+    let (_, default_out, default_pipelines, run) =
+        match args.first().filter(|a| !a.starts_with('-')) {
+            None => MODES[0],
+            Some(word) => match MODES[1..].iter().find(|m| m.0 == word) {
+                Some(&mode) => {
+                    args.remove(0);
+                    mode
+                }
+                None => {
+                    eprintln!("unknown bench mode '{word}'\n{USAGE}");
+                    std::process::exit(2);
+                }
+            },
+        };
     let smoke = args.iter().any(|a| a == "--smoke");
-    let out_path = parse_flag(&args, "--out").unwrap_or_else(|| {
-        if recovery_mode {
-            "BENCH_recovery.json".into()
-        } else if autoplace_mode {
-            "BENCH_autoplace.json".into()
-        } else if kernels_mode {
-            "BENCH_kernels.json".into()
-        } else if tasks_mode {
-            "BENCH_tasks.json".into()
-        } else if serving_mode {
-            "BENCH_serving.json".into()
-        } else if dvfs_mode {
-            "BENCH_dvfs.json".into()
-        } else {
-            "BENCH_native_pipeline.json".into()
-        }
-    });
+    let out_path = parse_flag(&args, "--out").unwrap_or_else(|| default_out.into());
 
     let (mut width, mut height) = if smoke { (64, 64) } else { (400, 400) };
     if let Some(size) = parse_flag(&args, "--size") {
@@ -84,212 +157,218 @@ fn main() {
         .unwrap_or(if smoke { 4 } else { 48 });
     let pipelines: u32 = parse_flag(&args, "--pipelines")
         .map(|v| v.parse().expect("--pipelines P"))
-        .unwrap_or(if recovery_mode { 3 } else { 2 });
-    let threads: Vec<u32> = parse_flag(&args, "--threads")
-        .map(|v| {
-            v.split(',')
-                .map(|t| t.trim().parse().expect("--threads a,b,c"))
-                .collect()
-        })
-        .unwrap_or_else(|| if smoke { vec![1, 2] } else { vec![1, 2, 4] });
+        .unwrap_or(default_pipelines);
+    let default_threads = if smoke { vec![1, 2] } else { vec![1, 2, 4] };
+    let threads = parse_list(&args, "--threads", default_threads);
 
-    if kernels_mode {
-        eprintln!(
-            "measuring filter kernels: {}x{} f={} threads={threads:?}{}",
-            width,
-            height,
-            frames,
-            if smoke { " (smoke)" } else { "" },
-        );
-        let report = measure_kernels(width, height, frames, 0x51CC_F11F, &threads);
-        print!("{}", report.render_text());
-        std::fs::write(&out_path, report.to_json()).expect("write bench json");
-        println!("wrote {out_path}");
-        if !report.output_consistent {
-            eprintln!("FATAL: a kernel variant changed pixels");
-            std::process::exit(1);
-        }
-        return;
-    }
-
-    let cfg = RunConfig::builder()
-        .pipelines(pipelines)
-        .size(width, height)
-        .frames(frames)
-        .seed(0x51CC_F11F)
-        .fidelity(Fidelity::Full)
-        .build()
-        .expect("bench configuration");
-
-    if serving_mode {
-        let session_counts: Vec<u32> = parse_flag(&args, "--sessions")
-            .map(|v| {
-                v.split(',')
-                    .map(|t| t.trim().parse().expect("--sessions a,b,c"))
-                    .collect()
-            })
-            .unwrap_or_else(|| if smoke { vec![4, 8] } else { vec![16, 32, 64] });
-        eprintln!(
-            "measuring serving layer: {}x{} p={} sessions={session_counts:?}{}",
-            width,
-            height,
-            pipelines,
-            if smoke { " (smoke)" } else { "" },
-        );
-        let scene = standard_scene();
-        let report = measure_serving(&cfg, &scene, &session_counts);
-        print!("{}", report.render_text());
-        std::fs::write(&out_path, report.to_json()).expect("write bench json");
-        println!("wrote {out_path}");
-        if !report.cache_transparent() {
-            eprintln!("FATAL: the strip cache changed a pixel");
-            std::process::exit(1);
-        }
-        if !report.cache_speeds_up() {
-            eprintln!("FATAL: sessions/s not strictly higher with the cache on");
-            std::process::exit(1);
-        }
-        if !report.ledger_balanced() {
-            eprintln!("FATAL: the session ledger does not balance (silent shed)");
-            std::process::exit(1);
-        }
-        return;
-    }
-
-    if dvfs_mode {
-        eprintln!(
-            "measuring dvfs power plane: film {}x{} f={} + wavefront{}",
-            width,
-            height,
-            frames,
-            if smoke { " (smoke)" } else { "" },
-        );
-        let scene = standard_scene();
-        let report = measure_dvfs(&cfg, &scene);
-        print!("{}", report.render_text());
-        std::fs::write(&out_path, report.to_json()).expect("write bench json");
-        println!("wrote {out_path}");
-        if !report.film_output_consistent {
-            eprintln!("FATAL: a power plan changed a film pixel");
-            std::process::exit(1);
-        }
-        if !report.wavefront_digest_consistent {
-            eprintln!("FATAL: a power plan or backend drifted the wavefront digest");
-            std::process::exit(1);
-        }
-        if !report.decision_parity {
-            eprintln!("FATAL: governed decision traces split between sim and des");
-            std::process::exit(1);
-        }
-        if !report.governed_not_dominated {
-            eprintln!("FATAL: the governor lost to every static split on time and energy");
-            std::process::exit(1);
-        }
-        return;
-    }
-
-    if tasks_mode {
-        eprintln!(
-            "measuring task runtime vs static pipeline: {}x{} f={} p={}{}",
-            width,
-            height,
-            frames,
-            pipelines,
-            if smoke { " (smoke)" } else { "" },
-        );
-        let scene = standard_scene();
-        let report = measure_tasks(&cfg, &scene);
-        print!("{}", report.render_text());
-        std::fs::write(&out_path, report.to_json()).expect("write bench json");
-        println!("wrote {out_path}");
-        if !report.output_consistent() {
-            eprintln!("FATAL: the task runtime changed a pixel");
-            std::process::exit(1);
-        }
-        if !report.no_lost_tasks() {
-            eprintln!("FATAL: the task ledger does not balance (lost tasks)");
-            std::process::exit(1);
-        }
-        if !report.spread_reduced() {
-            eprintln!("FATAL: idle-quartile spread not reduced vs static");
-            std::process::exit(1);
-        }
-        return;
-    }
-
-    if autoplace_mode {
-        eprintln!(
-            "measuring auto-placement vs fixed arrangements: {}x{} f={} p={}{}",
-            width,
-            height,
-            frames,
-            pipelines,
-            if smoke { " (smoke)" } else { "" },
-        );
-        let scene = standard_scene();
-        let report = measure_autoplace(&cfg, &scene);
-        print!("{}", report.render_text());
-        std::fs::write(&out_path, report.to_json()).expect("write bench json");
-        println!("wrote {out_path}");
-        if !report.output_consistent {
-            eprintln!("FATAL: the scheduler placement changed a pixel");
-            std::process::exit(1);
-        }
-        if report.speedup_vs_best_fixed < 0.99 {
-            eprintln!(
-                "FATAL: auto placement lost to a fixed arrangement \
-                 ({:.3}x)",
-                report.speedup_vs_best_fixed
-            );
-            std::process::exit(1);
-        }
-        return;
-    }
-
-    if recovery_mode {
-        let kills: Vec<u64> = parse_flag(&args, "--kills")
-            .map(|v| {
-                v.split(',')
-                    .map(|t| t.trim().parse().expect("--kills a,b,c"))
-                    .collect()
-            })
-            .unwrap_or_else(|| if smoke { vec![1, 5] } else { vec![10, 50, 150] });
-        eprintln!(
-            "measuring supervised recovery: {}x{} f={} p={} kills={kills:?} ms{}",
-            width,
-            height,
-            frames,
-            pipelines,
-            if smoke { " (smoke)" } else { "" },
-        );
-        let scene = standard_scene();
-        let report = measure_recovery(&cfg, &scene, &kills);
-        print!("{}", report.render_text());
-        std::fs::write(&out_path, report.to_json()).expect("write bench json");
-        println!("wrote {out_path}");
-        if report.points.iter().any(|p| !p.bit_identical) {
-            eprintln!("FATAL: recovery damaged a frame");
-            std::process::exit(1);
-        }
-        return;
-    }
-
-    eprintln!(
-        "measuring native throughput: {}x{} f={} p={} threads={threads:?}{}",
+    let outcome = run(&Opts {
+        args,
+        smoke,
         width,
         height,
         frames,
         pipelines,
-        if smoke { " (smoke)" } else { "" },
-    );
-    let scene = standard_scene();
-    let report = measure_native_throughput(&cfg, &scene, &threads);
-    print!("{}", report.render_text());
-
-    std::fs::write(&out_path, report.to_json()).expect("write bench json");
+        threads,
+    });
+    print!("{}", outcome.text);
+    std::fs::write(&out_path, outcome.json).expect("write bench json");
     println!("wrote {out_path}");
-    if !report.output_consistent {
-        eprintln!("FATAL: tuning variants produced different pixels");
+    if let Some(msg) = outcome.fatal {
+        eprintln!("FATAL: {msg}");
         std::process::exit(1);
     }
+}
+
+fn native(o: &Opts) -> Outcome {
+    eprintln!(
+        "measuring native throughput: {}x{} f={} p={} threads={:?}{}",
+        o.width,
+        o.height,
+        o.frames,
+        o.pipelines,
+        o.threads,
+        o.smoke_tag(),
+    );
+    let report = measure_native_throughput(&o.cfg(), &standard_scene(), &o.threads);
+    Outcome::new(
+        report.render_text(),
+        report.to_json(),
+        vec![(
+            !report.output_consistent,
+            "tuning variants produced different pixels".into(),
+        )],
+    )
+}
+
+fn kernels(o: &Opts) -> Outcome {
+    eprintln!(
+        "measuring filter kernels: {}x{} f={} threads={:?}{}",
+        o.width,
+        o.height,
+        o.frames,
+        o.threads,
+        o.smoke_tag(),
+    );
+    let report = measure_kernels(o.width, o.height, o.frames, 0x51CC_F11F, &o.threads);
+    Outcome::new(
+        report.render_text(),
+        report.to_json(),
+        vec![(
+            !report.output_consistent,
+            "a kernel variant changed pixels".into(),
+        )],
+    )
+}
+
+fn serving(o: &Opts) -> Outcome {
+    let default = if o.smoke {
+        vec![4, 8]
+    } else {
+        vec![16, 32, 64]
+    };
+    let session_counts: Vec<u32> = parse_list(&o.args, "--sessions", default);
+    eprintln!(
+        "measuring serving layer: {}x{} p={} sessions={session_counts:?}{}",
+        o.width,
+        o.height,
+        o.pipelines,
+        o.smoke_tag(),
+    );
+    let report = measure_serving(&o.cfg(), &standard_scene(), &session_counts);
+    Outcome::new(
+        report.render_text(),
+        report.to_json(),
+        vec![
+            (
+                !report.cache_transparent(),
+                "the strip cache changed a pixel".into(),
+            ),
+            (
+                !report.cache_speeds_up(),
+                "sessions/s not strictly higher with the cache on".into(),
+            ),
+            (
+                !report.ledger_balanced(),
+                "the session ledger does not balance (silent shed)".into(),
+            ),
+        ],
+    )
+}
+
+fn dvfs(o: &Opts) -> Outcome {
+    eprintln!(
+        "measuring dvfs power plane: film {}x{} f={} + wavefront{}",
+        o.width,
+        o.height,
+        o.frames,
+        o.smoke_tag(),
+    );
+    let report = measure_dvfs(&o.cfg(), &standard_scene());
+    Outcome::new(
+        report.render_text(),
+        report.to_json(),
+        vec![
+            (
+                !report.film_output_consistent,
+                "a power plan changed a film pixel".into(),
+            ),
+            (
+                !report.wavefront_digest_consistent,
+                "a power plan or backend drifted the wavefront digest".into(),
+            ),
+            (
+                !report.decision_parity,
+                "governed decision traces split between sim and des".into(),
+            ),
+            (
+                !report.governed_not_dominated,
+                "the governor lost to every static split on time and energy".into(),
+            ),
+        ],
+    )
+}
+
+fn tasks(o: &Opts) -> Outcome {
+    eprintln!(
+        "measuring task runtime vs static pipeline: {}x{} f={} p={}{}",
+        o.width,
+        o.height,
+        o.frames,
+        o.pipelines,
+        o.smoke_tag(),
+    );
+    let report = measure_tasks(&o.cfg(), &standard_scene());
+    Outcome::new(
+        report.render_text(),
+        report.to_json(),
+        vec![
+            (
+                !report.output_consistent(),
+                "the task runtime changed a pixel".into(),
+            ),
+            (
+                !report.no_lost_tasks(),
+                "the task ledger does not balance (lost tasks)".into(),
+            ),
+            (
+                !report.spread_reduced(),
+                "idle-quartile spread not reduced vs static".into(),
+            ),
+        ],
+    )
+}
+
+fn autoplace(o: &Opts) -> Outcome {
+    eprintln!(
+        "measuring auto-placement vs fixed arrangements: {}x{} f={} p={}{}",
+        o.width,
+        o.height,
+        o.frames,
+        o.pipelines,
+        o.smoke_tag(),
+    );
+    let report = measure_autoplace(&o.cfg(), &standard_scene());
+    Outcome::new(
+        report.render_text(),
+        report.to_json(),
+        vec![
+            (
+                !report.output_consistent,
+                "the scheduler placement changed a pixel".into(),
+            ),
+            (
+                report.speedup_vs_best_fixed < 0.99,
+                format!(
+                    "auto placement lost to a fixed arrangement ({:.3}x)",
+                    report.speedup_vs_best_fixed
+                ),
+            ),
+        ],
+    )
+}
+
+fn recovery(o: &Opts) -> Outcome {
+    let default = if o.smoke {
+        vec![1, 5]
+    } else {
+        vec![10, 50, 150]
+    };
+    let kills: Vec<u64> = parse_list(&o.args, "--kills", default);
+    eprintln!(
+        "measuring supervised recovery: {}x{} f={} p={} kills={kills:?} ms{}",
+        o.width,
+        o.height,
+        o.frames,
+        o.pipelines,
+        o.smoke_tag(),
+    );
+    let report = measure_recovery(&o.cfg(), &standard_scene(), &kills);
+    Outcome::new(
+        report.render_text(),
+        report.to_json(),
+        vec![(
+            report.points.iter().any(|p| !p.bit_identical),
+            "recovery damaged a frame".into(),
+        )],
+    )
 }

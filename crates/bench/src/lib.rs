@@ -2,8 +2,8 @@
 //!
 //! Regenerates every table and figure of the paper's evaluation (§VI) from
 //! the simulated platform. Each `figN` function returns plain data the
-//! `experiments` binary prints; the Criterion benches in `benches/` wrap
-//! the same entry points.
+//! `experiments` binary prints. The `bench` binary runs the measurement
+//! modules below and writes their `BENCH_*.json` files.
 
 pub mod autoplace;
 pub mod dvfs;

@@ -10,8 +10,9 @@
 //! the telemetry snapshot) next to the untouched backend-specific report.
 //!
 //! The old entry points remain as thin wrappers and are the right tool
-//! when backend-specific knobs are needed (placement overrides, DVFS
-//! plans, alternative platforms); new code that just wants "run this
+//! only for the overrides a [`RunConfig`] does not describe (placement,
+//! alternative platforms, cost calibrations, via
+//! [`SimRunner::with_parts`]); new code that just wants "run this
 //! config and look at the numbers" should come through here.
 
 use crate::generic::{run_workload_des, run_workload_sim, GenericReport};

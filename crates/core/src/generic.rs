@@ -12,22 +12,17 @@
 //! stream-processing pipeline reproducing the paper's qualitative story
 //! on a non-graphics workload.
 //!
-//! Two entry styles coexist:
-//!
-//! * **The workload plane** (preferred): put a [`crate::spec::Workload`]
-//!   into [`RunConfig`] and call [`crate::run`]. The spec-driven
-//!   executors here ([`run_workload_sim`], [`run_workload_des`]) run the
-//!   chain on either virtual-time backend with the full run machinery —
-//!   telemetry, the power plane (static plans *and* the closed-loop DVFS
-//!   governor), chain-merge auto-placement, invariant checking, and an
-//!   output digest that gates drift.
-//! * [`run_generic_chain`] — the original trait-object side door. Soft
-//!   deprecated: it still works for imperative closure-defined stages,
-//!   but it bypasses the power plane, telemetry, and verification, and
-//!   new code should declare a [`crate::spec::GenericChainSpec`] instead.
+//! A chain is declared as a [`crate::spec::GenericChainSpec`] (or the
+//! built-in [`crate::spec::WavefrontSpec`]) in [`RunConfig::workload`]
+//! and run through [`crate::run`]. The spec-driven executors here
+//! (`run_workload_sim`, `run_workload_des`) run it on either
+//! virtual-time backend with the full run machinery: telemetry, the
+//! power plane (static plans *and* the closed-loop DVFS governor),
+//! chain-merge auto-placement, invariant checking, and an output digest
+//! that gates drift.
 
 use crate::governor::{Governor, GovernorDecision, StationSample};
-use crate::spec::{Arrangement, PowerConfig, RunConfig, Workload};
+use crate::spec::{PowerConfig, RunConfig, Workload};
 use scc_sim::platform::MemOp;
 use scc_sim::stats::Quartiles;
 use scc_sim::{CoreId, DvfsState, IslandId, SccConfig, SccPlatform, SimTime};
@@ -50,31 +45,6 @@ pub struct StageWork {
     pub out_bytes: u64,
 }
 
-/// A user-defined macro pipeline stage.
-pub trait MacroStage: Send {
-    /// Stage name for reports.
-    fn name(&self) -> String;
-
-    /// Workload of item `item` given `in_bytes` of input payload.
-    fn work(&mut self, item: u64, in_bytes: u64) -> StageWork;
-}
-
-/// A closure-backed stage, for quick definitions.
-pub struct FnStage<F: FnMut(u64, u64) -> StageWork + Send> {
-    pub label: String,
-    pub f: F,
-}
-
-impl<F: FnMut(u64, u64) -> StageWork + Send> MacroStage for FnStage<F> {
-    fn name(&self) -> String {
-        self.label.clone()
-    }
-
-    fn work(&mut self, item: u64, in_bytes: u64) -> StageWork {
-        (self.f)(item, in_bytes)
-    }
-}
-
 /// Per-stage outcome of a generic run.
 #[derive(Debug, Clone, Serialize)]
 pub struct GenericStageReport {
@@ -95,8 +65,7 @@ pub struct GenericReport {
     pub energy_joules: f64,
     /// FNV-1a fingerprint of the workload's output (the reconstructed
     /// grid for wavefront runs, the payload-flow profile for declarative
-    /// chains). Zero for the legacy [`run_generic_chain`] side door,
-    /// whose closures the executor cannot fingerprint.
+    /// chains).
     pub output_digest: u64,
     /// Idle floor (watts) of the cheapest DVFS state the run visited —
     /// the same floor the energy-identity invariant checks against.
@@ -117,122 +86,6 @@ impl GenericReport {
 
     pub fn stage(&self, name: &str) -> Option<&GenericStageReport> {
         self.stages.iter().find(|s| s.name == name)
-    }
-}
-
-/// Run a linear chain of stages over `items` work items of
-/// `source_bytes` initial payload each, on consecutive SCC cores chosen
-/// by `arrangement`, using the same rendezvous semantics as the paper's
-/// rendering pipeline. The last stage's output is delivered off-chip.
-///
-/// Soft deprecated: this side door predates the workload plane and skips
-/// the power plane, telemetry, auto-placement, and invariant checking.
-/// Declare the chain as a [`crate::spec::GenericChainSpec`] in
-/// [`RunConfig::workload`](crate::spec::RunConfig) and call
-/// [`crate::run`] instead; this entry remains for closure-defined
-/// stages whose work cannot be written as an affine spec.
-pub fn run_generic_chain(
-    mut platform: SccPlatform,
-    stages: &mut [Box<dyn MacroStage>],
-    arrangement: Arrangement,
-    items: u64,
-    source_bytes: u64,
-) -> GenericReport {
-    assert!(!stages.is_empty(), "empty pipeline");
-    assert!(
-        stages.len() <= 48,
-        "more stages ({}) than SCC cores",
-        stages.len()
-    );
-    assert!(items >= 1);
-
-    // Stage -> core mapping: sequential ids (unordered) or one core per
-    // tile along rows (ordered / flipped).
-    let cores: Vec<CoreId> = match arrangement {
-        Arrangement::Unordered => (0..stages.len() as u8).map(CoreId::new).collect(),
-        Arrangement::Ordered | Arrangement::Flipped => {
-            let mut v = Vec::with_capacity(stages.len());
-            for (k, _) in stages.iter().enumerate() {
-                let row = (k / 6) as u8;
-                let col_raw = (k % 6) as u8;
-                let col = if arrangement == Arrangement::Flipped && row % 2 == 1 {
-                    5 - col_raw
-                } else {
-                    col_raw
-                };
-                let slot = row / 4;
-                v.push(CoreId::new(
-                    scc_sim::TileId::from_xy(col, row % 4).raw() * 2 + slot,
-                ));
-            }
-            v
-        }
-    };
-    platform.set_spinning(cores.clone());
-
-    let n = stages.len();
-    let mut free = vec![SimTime::ZERO; n];
-    let mut busy = vec![SimTime::ZERO; n];
-    let mut idle: Vec<Vec<SimTime>> = vec![Vec::new(); n];
-    let mut finish = SimTime::ZERO;
-
-    for item in 0..items {
-        // Arrival of the item's payload at stage 0: items appear at the
-        // source as fast as stage 0 can take them.
-        let mut avail = free[0];
-        let mut in_bytes = source_bytes;
-        for (j, stage) in stages.iter_mut().enumerate() {
-            let core = cores[j];
-            idle[j].push(avail.saturating_sub(free[j]));
-            let start = avail.max(free[j]);
-            // Fetch input from this core's partition (stage 0 reads its
-            // source data from its own partition too).
-            let mut t = platform.fetch_from_partition(core, start, in_bytes);
-            let w = stage.work(item, in_bytes);
-            t = platform.compute(core, t, w.cycles as u64);
-            t = platform.mem_stream(core, t, MemOp::Read, w.read_bytes);
-            t = platform.mem_stream(core, t, MemOp::Write, w.write_bytes);
-            platform.record_busy(core, start, t);
-            // Hand over (rendezvous with the next stage's previous item).
-            let resident = if j + 1 < n {
-                let send_start = t.max(free[j + 1]);
-                let r = platform.send_to_partition(core, cores[j + 1], send_start, w.out_bytes);
-                platform.record_busy(core, send_start, r);
-                r
-            } else {
-                let r = platform.chip_to_host(core, t, w.out_bytes);
-                platform.record_busy(core, t, r);
-                r
-            };
-            busy[j] += resident - start;
-            free[j] = resident;
-            avail = resident;
-            in_bytes = w.out_bytes;
-        }
-        finish = avail;
-    }
-
-    let energy = platform.energy_joules(finish);
-    GenericReport {
-        total_secs: finish.as_secs_f64(),
-        items,
-        stages: stages
-            .iter()
-            .enumerate()
-            .map(|(j, s)| GenericStageReport {
-                name: s.name(),
-                core_id: cores[j].raw(),
-                busy_secs: busy[j].as_secs_f64(),
-                idle_ms: Quartiles::from_times(&idle[j]),
-                utilisation: busy[j].as_secs_f64() / finish.as_secs_f64().max(1e-12),
-            })
-            .collect(),
-        mean_power: energy / finish.as_secs_f64().max(1e-12),
-        energy_joules: energy,
-        output_digest: 0,
-        scc_idle_power: platform.idle_power_for(platform.dvfs()),
-        dvfs_decisions: Vec::new(),
-        telemetry: None,
     }
 }
 
@@ -934,41 +787,45 @@ fn finish_workload_report(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use scc_sim::SccConfig;
+    use crate::spec::{GenericChainSpec, GenericStageSpec, GovernorTuning, WavefrontSpec};
+    use crate::{Backend, BackendReport};
 
-    /// A stage doing `mcycles` million cycles per item, passing payload
-    /// through unchanged.
-    fn fixed(label: &str, mcycles: f64, bytes: u64) -> Box<dyn MacroStage> {
-        Box::new(FnStage {
-            label: label.to_string(),
-            f: move |_, _| StageWork {
-                cycles: mcycles * 1e6,
-                read_bytes: 0,
-                write_bytes: 0,
-                out_bytes: bytes,
-            },
-        })
+    /// A stage doing `mcycles` million cycles per item, passing its
+    /// payload through unchanged.
+    fn fixed(name: &str, mcycles: f64) -> GenericStageSpec {
+        GenericStageSpec {
+            fixed_cycles: mcycles * 1e6,
+            ..GenericStageSpec::compute(name, 0.0)
+        }
     }
 
-    fn run(stages: &mut [Box<dyn MacroStage>], items: u64) -> GenericReport {
-        run_generic_chain(
-            SccPlatform::new(SccConfig::default()),
-            stages,
-            Arrangement::Ordered,
-            items,
-            64 * 1024,
-        )
+    /// Run `stages` over `items` items through the front door, with the
+    /// invariant checker on.
+    fn run_chain(stages: Vec<GenericStageSpec>, items: u64, source_bytes: u64) -> GenericReport {
+        let cfg = RunConfig::builder()
+            .workload(Workload::Generic(GenericChainSpec {
+                stages,
+                items,
+                source_bytes,
+            }))
+            .verify(true)
+            .build()
+            .expect("valid chain config");
+        match crate::run(&cfg, Backend::Sim).report {
+            BackendReport::Generic(r) => r,
+            _ => unreachable!("workload runs report a GenericReport"),
+        }
     }
 
     #[test]
     fn throughput_is_set_by_the_bottleneck() {
         // Stages of 10/50/10 Mcycles at 533 MHz: bottleneck ≈ 93.8 ms.
-        let mut stages = vec![
-            fixed("light-a", 10.0, 64 * 1024),
-            fixed("heavy", 50.0, 64 * 1024),
-            fixed("light-b", 10.0, 64 * 1024),
+        let stages = vec![
+            fixed("light-a", 10.0),
+            fixed("heavy", 50.0),
+            fixed("light-b", 10.0),
         ];
-        let r = run(&mut stages, 100);
+        let r = run_chain(stages, 100, 64 * 1024);
         let per_item = r.total_secs / 100.0;
         let bottleneck = 50.0e6 / 533.0e6;
         assert!(
@@ -992,13 +849,8 @@ mod tests {
 
     #[test]
     fn pipelining_beats_serial_execution() {
-        let mk = || -> Vec<Box<dyn MacroStage>> {
-            (0..6)
-                .map(|i| fixed(&format!("s{i}"), 20.0, 32 * 1024))
-                .collect()
-        };
-        let mut chain = mk();
-        let pipelined = run(&mut chain, 50).total_secs;
+        let stages = (0..6).map(|i| fixed(&format!("s{i}"), 20.0)).collect();
+        let pipelined = run_chain(stages, 50, 32 * 1024).total_secs;
         // Serial: one item through all 6 stages before the next starts =
         // 6 × 20 Mcycles per item.
         let serial = 50.0 * 6.0 * 20.0e6 / 533.0e6;
@@ -1009,63 +861,24 @@ mod tests {
     }
 
     #[test]
-    fn arrangement_does_not_matter_here_either() {
-        // The paper's finding generalises: handovers go through DRAM, so
-        // physical placement is irrelevant for a generic chain too.
-        let mut results = Vec::new();
-        for arr in Arrangement::all() {
-            let mut stages: Vec<Box<dyn MacroStage>> = (0..8)
-                .map(|i| fixed(&format!("s{i}"), 15.0, 128 * 1024))
-                .collect();
-            let r = run_generic_chain(
-                SccPlatform::new(SccConfig::default()),
-                &mut stages,
-                arr,
-                40,
-                128 * 1024,
-            );
-            results.push(r.total_secs);
-        }
-        let min = results.iter().cloned().fold(f64::INFINITY, f64::min);
-        let max = results.iter().cloned().fold(0.0, f64::max);
-        assert!(
-            (max - min) / min < 0.06,
-            "arrangement spread too large: {results:?}"
-        );
-    }
-
-    #[test]
     fn payload_size_flows_through_the_chain() {
         // A compressor stage shrinks the payload; downstream fetches get
         // cheaper, so a shrinking chain beats an identity chain.
-        let mut shrink: Vec<Box<dyn MacroStage>> = vec![
-            fixed("produce", 5.0, 512 * 1024),
-            Box::new(FnStage {
-                label: "compress".into(),
-                f: |_, inb| StageWork {
-                    cycles: 8.0e6,
-                    read_bytes: 0,
-                    write_bytes: 0,
-                    out_bytes: inb / 8,
-                },
-            }),
-            Box::new(FnStage {
-                label: "sink".into(),
-                f: |_, inb| StageWork {
-                    cycles: 2.0e6,
-                    read_bytes: 0,
-                    write_bytes: 0,
-                    out_bytes: inb,
-                },
-            }),
+        let produce = GenericStageSpec {
+            out_factor: 8.0,
+            ..fixed("produce", 5.0)
+        };
+        let shrink = vec![
+            produce.clone(),
+            GenericStageSpec {
+                out_factor: 1.0 / 8.0,
+                ..fixed("compress", 8.0)
+            },
+            fixed("sink", 2.0),
         ];
-        let mut identity: Vec<Box<dyn MacroStage>> = vec![
-            fixed("produce", 5.0, 512 * 1024),
-            fixed("compress", 8.0, 512 * 1024),
-            fixed("sink", 2.0, 512 * 1024),
-        ];
-        let a = run(&mut shrink, 60).total_secs;
-        let b = run(&mut identity, 60).total_secs;
+        let identity = vec![produce, fixed("compress", 8.0), fixed("sink", 2.0)];
+        let a = run_chain(shrink, 60, 64 * 1024).total_secs;
+        let b = run_chain(identity, 60, 64 * 1024).total_secs;
         assert!(
             a < b,
             "shrinking payload ({a:.2}s) must beat identity ({b:.2}s)"
@@ -1074,8 +887,7 @@ mod tests {
 
     #[test]
     fn reports_are_complete_and_positive() {
-        let mut stages = vec![fixed("only", 30.0, 1024)];
-        let r = run(&mut stages, 10);
+        let r = run_chain(vec![fixed("only", 30.0)], 10, 1024);
         assert_eq!(r.items, 10);
         assert_eq!(r.stages.len(), 1);
         assert!(r.throughput() > 0.0);
@@ -1083,15 +895,7 @@ mod tests {
         assert!(r.energy_joules > 0.0);
     }
 
-    #[test]
-    #[should_panic(expected = "empty pipeline")]
-    fn rejects_empty_chain() {
-        run(&mut [], 1);
-    }
-
-    // --- the spec-driven workload plane ------------------------------
-
-    use crate::spec::{GenericChainSpec, GenericStageSpec, GovernorTuning, WavefrontSpec};
+    // --- resolution, placement and backend agreement ------------------
 
     fn chain_cfg() -> RunConfig {
         RunConfig::builder()

@@ -78,13 +78,6 @@ impl StageState {
     }
 }
 
-/// DVFS directives applied before the run.
-#[derive(Debug, Clone, Default)]
-pub struct DvfsPlan {
-    /// (core, frequency) pairs; each sets the core's whole tile.
-    pub settings: Vec<(CoreId, FreqMHz)>,
-}
-
 /// Resolved fault-injection context for a run: the schedule plus the
 /// retry protocol's virtual-time parameters.
 #[derive(Clone)]
@@ -162,7 +155,6 @@ pub struct SimRunner {
     pub(crate) platform: SccPlatform,
     pub(crate) renderer: Arc<Renderer>,
     pub(crate) walkthrough: Walkthrough,
-    pub(crate) dvfs: DvfsPlan,
     pub(crate) fault: Option<FaultCtx>,
     pub(crate) tel: TelemetrySink,
 }
@@ -179,19 +171,20 @@ impl SimRunner {
             placement,
             SccPlatform::new(SccConfig::default()),
             CostModel::default(),
-            DvfsPlan::default(),
         )
     }
 
-    /// Full control over every part (placement overrides for the DVFS
-    /// experiment, alternative platforms or cost calibrations).
+    /// Override the parts a [`RunConfig`] does not describe: the
+    /// placement (the DVFS experiment's island-aware layout), the
+    /// platform (alternative calibrations, local-memory banks) and the
+    /// cost model. Everything else, frequencies included, comes from
+    /// `cfg`.
     pub fn with_parts(
         cfg: RunConfig,
         scene: Arc<Scene>,
         placement: Placement,
         platform: SccPlatform,
         cost: CostModel,
-        dvfs: DvfsPlan,
     ) -> SimRunner {
         cfg.validate().expect("invalid run configuration");
         let plan = crate::partition::plan_for(&cfg);
@@ -216,7 +209,6 @@ impl SimRunner {
             plan,
             platform,
             walkthrough,
-            dvfs,
             fault,
             tel,
         }
@@ -231,15 +223,12 @@ impl SimRunner {
     /// Deprecated as a front door: new code should call [`crate::run`]
     /// with [`crate::Backend::Sim`], which constructs the runner and
     /// returns the backend-independent [`crate::RunOutcome`] view.
-    /// Constructing a `SimRunner` directly remains the right move for
-    /// sim-only knobs such as [`SimRunner::with_parts`] DVFS plans.
+    /// Constructing a `SimRunner` directly remains the right move only
+    /// for the [`SimRunner::with_parts`] overrides. Frequencies come
+    /// from [`RunConfig::power`] either way.
     pub fn run(mut self) -> WalkthroughReport {
         // Static operating point, set before the runtime dispatch so the
-        // task executor shares it. The deprecated `DvfsPlan` alias goes
-        // first; the `RunConfig` power plane wins where they overlap.
-        for (core, freq) in &self.dvfs.settings {
-            self.platform.set_core_frequency(*core, *freq);
-        }
+        // task executor shares it.
         if let crate::spec::PowerConfig::Static(pairs) = &self.cfg.power {
             for (core, freq) in pairs {
                 self.platform.set_core_frequency(*core, *freq);
@@ -1967,23 +1956,14 @@ mod tests {
     }
 
     #[test]
-    fn dvfs_plan_speeds_up_blur_bound_pipeline() {
+    fn static_power_speeds_up_blur_bound_pipeline() {
         let scene = tiny_scene();
         let cfg = quick_cfg(RendererMode::McpcRenderer, 1);
         let base = SimRunner::new(cfg.clone(), Arc::clone(&scene)).run();
-        let placement = place(cfg.renderer, cfg.arrangement, cfg.pipelines);
-        let blur_core = placement.pipelines[0][1];
-        let fast = SimRunner::with_parts(
-            cfg,
-            scene,
-            placement,
-            SccPlatform::new(SccConfig::default()),
-            CostModel::default(),
-            DvfsPlan {
-                settings: vec![(blur_core, FreqMHz::F800)],
-            },
-        )
-        .run();
+        let blur_core = place(cfg.renderer, cfg.arrangement, cfg.pipelines).pipelines[0][1];
+        let mut fast_cfg = cfg;
+        fast_cfg.power = crate::spec::PowerConfig::Static(vec![(blur_core, FreqMHz::F800)]);
+        let fast = SimRunner::new(fast_cfg, scene).run();
         assert!(
             fast.total_secs < base.total_secs * 0.9,
             "blur at 800 MHz should cut the walkthrough markedly \

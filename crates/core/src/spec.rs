@@ -550,11 +550,11 @@ impl GovernorTuning {
 
 /// The power plane of a run: how per-tile frequencies are chosen.
 ///
-/// This lifts the sim-runner-private `DvfsPlan` into [`RunConfig`], so
-/// both virtual-time backends honor the same plan. `Static` is the
-/// paper's open-loop experiment (a fixed frequency per listed core's
-/// tile, everything else at the 533 MHz default); `Governed` closes the
-/// loop with the [`GovernorTuning`] controller.
+/// This is the one place a run's frequencies are set, so both
+/// virtual-time backends honor the same plan. `Static` is the paper's
+/// open-loop experiment (a fixed frequency per listed core's tile,
+/// everything else at the 533 MHz default); `Governed` closes the loop
+/// with the [`GovernorTuning`] controller.
 #[derive(Debug, Clone, PartialEq, Serialize)]
 pub enum PowerConfig {
     /// Fixed per-tile settings applied before the run starts. The empty
@@ -678,8 +678,8 @@ impl GenericStageSpec {
     }
 }
 
-/// A declarative generic chain (the spec form of the old
-/// `run_generic_chain` side door, routable through `scc_core::run`).
+/// A declarative generic macro pipeline: a linear chain of stages run
+/// through `scc_core::run` via [`Workload::Generic`].
 #[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct GenericChainSpec {
     pub stages: Vec<GenericStageSpec>,

@@ -1319,10 +1319,6 @@ impl Engine {
     // ---- the run -------------------------------------------------------
 
     fn run(mut self) -> WalkthroughReport {
-        let dvfs = self.r.dvfs.settings.clone();
-        for (core, freq) in dvfs {
-            self.r.platform.set_core_frequency(core, freq);
-        }
         self.r.platform.set_spinning(self.r.placement.all_cores());
 
         while self.next_out < self.r.cfg.frames {

@@ -1,8 +1,8 @@
 //! §VI-B (power/energy) and §VI-D (DVFS) invariants.
 
-use scc_core::runner::sim::DvfsPlan;
 use scc_core::{
-    place_dvfs_single_pipeline, CostModel, RendererMode, RunConfig, SimRunner, WalkthroughReport,
+    place_dvfs_single_pipeline, CostModel, PowerConfig, RendererMode, RunConfig, SimRunner,
+    WalkthroughReport,
 };
 use scc_render::{CityConfig, Scene};
 use scc_sim::power::McpcPower;
@@ -24,13 +24,16 @@ fn cfg(mode: RendererMode, pipelines: u32) -> RunConfig {
 
 fn dvfs_run(settings: Vec<(CoreId, FreqMHz)>, scene: &Arc<Scene>) -> WalkthroughReport {
     let placement = place_dvfs_single_pipeline(RendererMode::McpcRenderer);
+    let config = RunConfig {
+        power: PowerConfig::Static(settings),
+        ..cfg(RendererMode::McpcRenderer, 1)
+    };
     SimRunner::with_parts(
-        cfg(RendererMode::McpcRenderer, 1),
+        config,
         Arc::clone(scene),
         placement,
         SccPlatform::new(SccConfig::default()),
         CostModel::default(),
-        DvfsPlan { settings },
     )
     .run()
 }
@@ -62,6 +65,18 @@ fn accelerating_blur_speeds_up_the_walkthrough() {
         "blur@800 gain {:.0}% (paper ~26%)",
         gain * 100.0
     );
+    // The three variants' time and energy, bit for bit: the plan lives in
+    // `RunConfig::power` and must reproduce these exact model outputs.
+    let mixed = dvfs_run(downstream_settings(), &s);
+    let pinned = [
+        ("all-533", &base, 0x403f150cf0a8c291, 0x409379b7f4a75e50),
+        ("blur@800", &fast, 0x403651fbefd4642f, 0x408f8750627f38ae),
+        ("mixed", &mixed, 0x40365a48055ff24b, 0x408b04cbe02abde5),
+    ];
+    for (label, r, total, energy) in pinned {
+        assert_eq!(r.total_secs.to_bits(), total, "{label} total_secs");
+        assert_eq!(r.scc_energy_joules.to_bits(), energy, "{label} energy");
+    }
 }
 
 #[test]
