@@ -473,10 +473,8 @@ pub(crate) fn run_workload_des(cfg: &RunConfig) -> GenericReport {
     let mut indeg = vec![0u8; 2 * n * items];
     for k in 0..items {
         for g in 0..n {
-            indeg[2 * idx(g, k) + EV_COMPUTE as usize] =
-                u8::from(k > 0) + u8::from(g > 0);
-            indeg[2 * idx(g, k) + EV_SEND as usize] =
-                1 + u8::from(g + 1 < n && k > 0);
+            indeg[2 * idx(g, k) + EV_COMPUTE as usize] = u8::from(k > 0) + u8::from(g > 0);
+            indeg[2 * idx(g, k) + EV_SEND as usize] = 1 + u8::from(g + 1 < n && k > 0);
         }
     }
 
@@ -517,9 +515,9 @@ pub(crate) fn run_workload_des(cfg: &RunConfig) -> GenericReport {
         // Chains deeper than epoch + lag can outrun the decided prefix;
         // clamping to the newest decision keeps the run legal (and the
         // convergence suite pins the exact-parity regime).
-        let state = epoch_states.get(e).unwrap_or_else(|| {
-            epoch_states.last().expect("seeded with two entries")
-        });
+        let state = epoch_states
+            .get(e)
+            .unwrap_or_else(|| epoch_states.last().expect("seeded with two entries"));
         if platform.dvfs() != state {
             let state = state.clone();
             platform.apply_dvfs(&state);
@@ -533,8 +531,16 @@ pub(crate) fn run_workload_des(cfg: &RunConfig) -> GenericReport {
         let core = cores[g];
         apply_epoch_state(&mut platform, &epoch_states, k);
         if kind == EV_COMPUTE {
-            let arrival = if g > 0 { send_done[idx(g - 1, k)] } else { SimTime::ZERO };
-            let own_free = if k > 0 { send_done[idx(g, k - 1)] } else { SimTime::ZERO };
+            let arrival = if g > 0 {
+                send_done[idx(g - 1, k)]
+            } else {
+                SimTime::ZERO
+            };
+            let own_free = if k > 0 {
+                send_done[idx(g, k - 1)]
+            } else {
+                SimTime::ZERO
+            };
             let wait = if g > 0 {
                 arrival.saturating_sub(own_free)
             } else {
@@ -578,7 +584,11 @@ pub(crate) fn run_workload_des(cfg: &RunConfig) -> GenericReport {
         } else {
             let t = comp_done[i];
             let r = if g + 1 < n {
-                let rendezvous = if k > 0 { send_done[idx(g + 1, k - 1)] } else { SimTime::ZERO };
+                let rendezvous = if k > 0 {
+                    send_done[idx(g + 1, k - 1)]
+                } else {
+                    SimTime::ZERO
+                };
                 let send_start = t.max(rendezvous);
                 let r = platform.send_to_partition(core, cores[g + 1], send_start, out_bytes[i]);
                 platform.record_busy(core, send_start, r);
@@ -596,7 +606,7 @@ pub(crate) fn run_workload_des(cfg: &RunConfig) -> GenericReport {
                 // Epoch close: the last group's send of item (e+1)E - 1
                 // transitively depends on every node of epoch e, so the
                 // idle buckets are complete here.
-                if n_epochs > 0 && (k as u64 + 1) % epoch_items == 0 {
+                if n_epochs > 0 && (k as u64 + 1).is_multiple_of(epoch_items) {
                     let gov = governor.as_mut().expect("epochs imply a governor");
                     let e = k / epoch_items as usize;
                     let dur = (r.saturating_sub(epoch_mark)).as_secs_f64();
@@ -636,8 +646,16 @@ pub(crate) fn run_workload_des(cfg: &RunConfig) -> GenericReport {
                 indeg[j] -= 1;
                 if indeg[j] == 0 {
                     let est = if kind2 == EV_COMPUTE {
-                        let a = if g2 > 0 { send_done[idx(g2 - 1, k2)] } else { SimTime::ZERO };
-                        let f = if k2 > 0 { send_done[idx(g2, k2 - 1)] } else { SimTime::ZERO };
+                        let a = if g2 > 0 {
+                            send_done[idx(g2 - 1, k2)]
+                        } else {
+                            SimTime::ZERO
+                        };
+                        let f = if k2 > 0 {
+                            send_done[idx(g2, k2 - 1)]
+                        } else {
+                            SimTime::ZERO
+                        };
                         a.max(f)
                     } else {
                         let rv = if g2 + 1 < n && k2 > 0 {
@@ -1046,8 +1064,7 @@ mod tests {
         let mut throttled = chain_cfg();
         // Slow the bottleneck group's core (group 1 -> island 1).
         let core = island_major_core(1);
-        throttled.power =
-            PowerConfig::Static(vec![(core, scc_sim::FreqMHz::F400)]);
+        throttled.power = PowerConfig::Static(vec![(core, scc_sim::FreqMHz::F400)]);
         let slow = run_workload_sim(&throttled);
         assert!(slow.total_secs > base.total_secs * 1.05);
         assert_eq!(slow.output_digest, base.output_digest);

@@ -136,7 +136,13 @@ pub fn run_des(cfg: &RunConfig, scene: Arc<Scene>) -> DesReport {
                 platform.power_calibration().clone(),
                 platform.dvfs().clone(),
             )
-            .protect(placement.renderers.iter().copied().chain(placement.connector)),
+            .protect(
+                placement
+                    .renderers
+                    .iter()
+                    .copied()
+                    .chain(placement.connector),
+            ),
         ),
         crate::spec::PowerConfig::Static(_) => None,
     };

@@ -96,7 +96,7 @@ impl Default for ServeConfig {
             batch_frames: 4,
             pose_span: 8,
             arrival_burst: 4,
-            seed: 0x5EC5_E55,
+            seed: 0x05EC_5E55,
             keep_films: false,
         }
     }
@@ -119,7 +119,10 @@ impl ServeConfig {
                 return Err(format!("serve: tenant {} has zero weight", t.name));
             }
             if t.frames_per_session == 0 {
-                return Err(format!("serve: tenant {} has zero frames per session", t.name));
+                return Err(format!(
+                    "serve: tenant {} has zero frames per session",
+                    t.name
+                ));
             }
         }
         if self.offered_sessions() == 0 {
@@ -233,7 +236,9 @@ mod tests {
         let b = sessions.iter().filter(|s| s.tenant == 1).count();
         assert_eq!((a, b), (10, 1));
         // Arrival rounds never decrease in generation order.
-        assert!(sessions.windows(2).all(|w| w[0].arrive_round <= w[1].arrive_round));
+        assert!(sessions
+            .windows(2)
+            .all(|w| w[0].arrive_round <= w[1].arrive_round));
         // Ids are dense and unique.
         let mut ids: Vec<u32> = sessions.iter().map(|s| s.id).collect();
         ids.sort_unstable();

@@ -37,6 +37,10 @@ use scc_telemetry::{names, TelemetrySink, SECONDS_BUCKETS};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
+/// One render job's output: each strip's index, its (mirrored) layout and
+/// its filtered pixels.
+type RenderedStrips = Vec<(u32, StripInfo, Image)>;
+
 /// The SCC's P54C cores run at 533 MHz (§II); all pool cost charging is
 /// anchored there, matching the simulator's clock.
 pub const P54C_HZ: u64 = 533_000_000;
@@ -58,7 +62,7 @@ pub struct LatencyStats {
 }
 
 impl LatencyStats {
-    fn from_samples(samples: &mut Vec<f64>) -> LatencyStats {
+    fn from_samples(samples: &mut [f64]) -> LatencyStats {
         if samples.is_empty() {
             return LatencyStats::default();
         }
@@ -378,7 +382,7 @@ pub fn serve(cfg: &ServeConfig, scene: &Arc<Scene>) -> ServeOutcome {
         unique_renders += jobs.len() as u64;
 
         // ---- 4. render burst (parallel, deterministic fold) -----------
-        let run_job = |&(pose, strip): &(u64, Option<u32>)| -> Vec<(u32, StripInfo, Image)> {
+        let run_job = |&(pose, strip): &(u64, Option<u32>)| -> RenderedStrips {
             let cam = walk.camera(pose);
             let raw: Vec<(StripInfo, Image)> = match strip {
                 Some(si) => {
@@ -416,8 +420,11 @@ pub fn serve(cfg: &ServeConfig, scene: &Arc<Scene>) -> ServeOutcome {
                 .collect()
         };
         let threads = (cfg.pool as usize).min(jobs.len());
-        let mut outputs: Vec<(usize, Vec<(u32, StripInfo, Image)>)> = if threads <= 1 {
-            jobs.iter().enumerate().map(|(j, job)| (j, run_job(job))).collect()
+        let mut outputs: Vec<(usize, RenderedStrips)> = if threads <= 1 {
+            jobs.iter()
+                .enumerate()
+                .map(|(j, job)| (j, run_job(job)))
+                .collect()
         } else {
             std::thread::scope(|scope| {
                 let handles: Vec<_> = (0..threads)
@@ -638,11 +645,7 @@ fn record_telemetry(sink: &TelemetrySink, cfg: &ServeConfig, r: &ServeReport, la
     sink.count(names::SERVE_SESSIONS_ADMITTED_TOTAL, &[], r.admitted);
     sink.count(names::SERVE_SESSIONS_COMPLETED_TOTAL, &[], r.completed);
     for reason in [ShedReason::TenantQueueFull, ShedReason::SessionCap] {
-        let n = r
-            .shed_events
-            .iter()
-            .filter(|e| e.reason == reason)
-            .count() as u64;
+        let n = r.shed_events.iter().filter(|e| e.reason == reason).count() as u64;
         if n > 0 {
             sink.count(
                 names::SERVE_SESSIONS_SHED_TOTAL,
@@ -664,12 +667,7 @@ fn record_telemetry(sink: &TelemetrySink, cfg: &ServeConfig, r: &ServeReport, la
         );
     }
     for &v in lat {
-        sink.observe(
-            names::SERVE_FRAME_LATENCY_SECONDS,
-            &[],
-            SECONDS_BUCKETS,
-            v,
-        );
+        sink.observe(names::SERVE_FRAME_LATENCY_SECONDS, &[], SECONDS_BUCKETS, v);
     }
 }
 

@@ -34,5 +34,7 @@ pub mod session;
 
 pub use cache::{fnv1a, CacheStats, StripCache, StripKey};
 pub use config::{generate_sessions, splitmix64, ServeConfig, SessionSpec, TenantSpec};
-pub use engine::{serve, serve_default, wfq_allocate, LatencyStats, ServeOutcome, ServeReport, TenantReport};
+pub use engine::{
+    serve, serve_default, wfq_allocate, LatencyStats, ServeOutcome, ServeReport, TenantReport,
+};
 pub use session::{ActiveSession, SessionFilm, ShedEvent, ShedReason};

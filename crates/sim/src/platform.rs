@@ -382,13 +382,15 @@ impl SccPlatform {
         end: SimTime,
         dt: SimTime,
     ) -> Vec<PowerSample> {
-        self.meter.trace_piecewise(&self.cfg.power, schedule, end, dt)
+        self.meter
+            .trace_piecewise(&self.cfg.power, schedule, end, dt)
     }
 
     /// [`SccPlatform::energy_joules`] under a piecewise-constant DVFS
     /// schedule (governed runs).
     pub fn energy_joules_piecewise(&self, schedule: &[(SimTime, DvfsState)], end: SimTime) -> f64 {
-        self.meter.energy_joules_piecewise(&self.cfg.power, schedule, end)
+        self.meter
+            .energy_joules_piecewise(&self.cfg.power, schedule, end)
     }
 
     /// The power-model calibration constants.

@@ -10,8 +10,9 @@
 //! cargo run --release -p scc-core --example generic_pipeline
 //! ```
 
-use scc_core::{run, Backend, BackendReport, GenericChainSpec, GenericStageSpec, RunConfig,
-    Workload};
+use scc_core::{
+    run, Backend, BackendReport, GenericChainSpec, GenericStageSpec, RunConfig, Workload,
+};
 
 fn spec() -> GenericChainSpec {
     // Per-item costs in P54C cycles per input byte, loosely modelled on

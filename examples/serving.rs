@@ -40,7 +40,10 @@ fn main() {
 
     let out = serve_default(&cfg);
     let r = &out.report;
-    println!("sessions: admitted={} completed={} shed={}", r.admitted, r.completed, r.shed);
+    println!(
+        "sessions: admitted={} completed={} shed={}",
+        r.admitted, r.completed, r.shed
+    );
     println!(
         "frames: {} served, {} unique renders, cache hit ratio {:.1}%",
         r.frames_served,
@@ -60,7 +63,12 @@ fn main() {
         );
     }
     for e in r.shed_events.iter().take(3) {
-        println!("shed example: session {} of tenant {} ({})", e.session, e.tenant, e.reason.name());
+        println!(
+            "shed example: session {} of tenant {} ({})",
+            e.session,
+            e.tenant,
+            e.reason.name()
+        );
     }
     assert_eq!(r.completed + r.shed, r.admitted, "ledger balances");
 }

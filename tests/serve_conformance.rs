@@ -41,7 +41,7 @@ fn serve_cfg(tenants: Vec<TenantSpec>) -> ServeConfig {
         batch_frames: 4,
         pose_span: 4,
         arrival_burst: 64,
-        seed: 0x5EC5_E55,
+        seed: 0x05EC_5E55,
         keep_films: false,
     }
 }
@@ -64,7 +64,7 @@ fn no_tenant_starves_under_ten_to_one_skew() {
     assert_eq!(r.shed, 0, "capacity fits the whole offered load");
     for t in &r.per_tenant {
         assert_eq!(
-            t.completed_sessions, t.offered as u64,
+            t.completed_sessions, t.offered,
             "tenant {} starved: {}/{} sessions",
             t.name, t.completed_sessions, t.offered
         );
@@ -177,7 +177,10 @@ fn shed_decisions_are_deterministic_under_a_pinned_seed() {
     assert_eq!(first.report.film_hash, second.report.film_hash);
     for ev in &first.report.shed_events {
         assert!(
-            matches!(ev.reason, ShedReason::TenantQueueFull | ShedReason::SessionCap),
+            matches!(
+                ev.reason,
+                ShedReason::TenantQueueFull | ShedReason::SessionCap
+            ),
             "undocumented shed reason {:?}",
             ev.reason
         );
