@@ -6,7 +6,7 @@
 //!
 //! Usage:
 //!   bench [--smoke] [--out PATH] [--frames N] [--size WxH]
-//!         [--pipelines P] [--threads 1,2,4,8]
+//!         [--pipelines P]
 //!   bench recovery [--smoke] [--out PATH] [--frames N] [--size WxH]
 //!                  [--pipelines P] [--kills 10,50,150]
 //!   bench autoplace [--smoke] [--out PATH] [--frames N] [--size WxH]
@@ -55,7 +55,8 @@ const MODES: [Mode; 7] = [
 
 const USAGE: &str = "usage: bench [recovery|autoplace|kernels|tasks|serving|dvfs] \
                      [--smoke] [--out PATH] [--frames N] [--size WxH] [--pipelines P] \
-                     [--threads a,b] [--kills a,b] [--sessions a,b]";
+                     [--threads a,b (kernels)] [--kills a,b (recovery)] \
+                     [--sessions a,b (serving)]";
 
 /// The parsed command line every mode reads.
 struct Opts {
@@ -181,21 +182,20 @@ fn main() {
 
 fn native(o: &Opts) -> Outcome {
     eprintln!(
-        "measuring native throughput: {}x{} f={} p={} threads={:?}{}",
+        "measuring native throughput: {}x{} f={} p={}{}",
         o.width,
         o.height,
         o.frames,
         o.pipelines,
-        o.threads,
         o.smoke_tag(),
     );
-    let report = measure_native_throughput(&o.cfg(), &standard_scene(), &o.threads);
+    let report = measure_native_throughput(&o.cfg(), &standard_scene());
     Outcome::new(
         report.render_text(),
         report.to_json(),
         vec![(
-            !report.output_consistent,
-            "tuning variants produced different pixels".into(),
+            !report.output_consistent(),
+            "native film differs from the sequential reference".into(),
         )],
     )
 }

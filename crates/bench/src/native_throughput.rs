@@ -1,48 +1,38 @@
 //! Host-native throughput measurement — the `BENCH_native_pipeline.json`
 //! trajectory.
 //!
-//! Sweeps the native runner's host tuning knobs (per-stage kernel threads,
-//! buffer pooling) over one configuration, records wall-clock frames/s for
-//! each point, and verifies every point produced byte-identical output (a
-//! perf knob that changes a pixel is a bug, not a speedup). The JSON is
-//! built on `scc_telemetry::Json` (the vendored serde shim is a no-op
-//! marker), so the schema lives here, in one place, deliberately flat —
-//! and when the base config enables telemetry, the baseline point's full
-//! metric snapshot is embedded under a `telemetry` key.
+//! Runs the native runner once on one configuration, records its
+//! wall-clock frames/s and buffer-pool reuse, and checks the delivered
+//! film against the sequential reference data path (a faster pipeline
+//! that changes a pixel is a bug, not a speedup). The JSON is built on
+//! `scc_telemetry::Json` (the vendored serde shim is a no-op marker), so
+//! the schema lives here, in one place, deliberately flat — and when the
+//! config enables telemetry, the run's full metric snapshot is embedded
+//! under a `telemetry` key.
 
+use scc_core::reference::reference_frames;
 use scc_core::viz::frame_checksum;
-use scc_core::{run_native, HostTiming, NativeTuning, PoolStats, RunConfig};
+use scc_core::{run_native, HostTiming, PoolStats, RunConfig};
 use scc_render::Scene;
 use scc_telemetry::{snapshot_to_tree, Json, Snapshot};
 use std::fmt::Write as _;
 use std::sync::Arc;
 
-/// One measured (kernel_threads, buffer_pool) point.
-#[derive(Debug, Clone)]
-pub struct ThroughputPoint {
-    pub kernel_threads: u32,
-    pub buffer_pool: bool,
-    pub timing: HostTiming,
-    /// Throughput relative to the 1-thread pooled point.
-    pub speedup_vs_1thread: f64,
-    /// FNV fold of all delivered frame checksums; equal across points.
-    pub output_checksum: u64,
-    pub pool_stats: PoolStats,
-}
-
-/// The full sweep, ready to render as `BENCH_native_pipeline.json`.
+/// The measured run, ready to render as `BENCH_native_pipeline.json`.
 #[derive(Debug, Clone)]
 pub struct ThroughputReport {
     pub config: RunConfig,
-    /// Logical CPUs of the measuring host. Kernel-thread speedup is
-    /// bounded by this: on a 1-CPU container every curve is flat at ~1×,
-    /// and the ≥2× shape only appears with real spare cores.
+    /// Logical CPUs of the measuring host, which every stage thread of
+    /// the pipeline shares.
     pub host_cpus: u32,
-    pub points: Vec<ThroughputPoint>,
-    /// True when every point delivered bit-identical frames.
-    pub output_consistent: bool,
-    /// Metric snapshot of the first sweep point's run, captured when the
-    /// base config enables telemetry; embedded in the JSON document.
+    pub timing: HostTiming,
+    /// FNV fold of all delivered frame checksums.
+    pub output_checksum: u64,
+    /// The same fold over the sequential reference film.
+    pub reference_checksum: u64,
+    pub pool_stats: PoolStats,
+    /// Metric snapshot of the run, captured when the config enables
+    /// telemetry; embedded in the JSON document.
     pub telemetry: Option<Snapshot>,
 }
 
@@ -58,77 +48,30 @@ fn fold_checksums(frames: &[scc_filters::Image]) -> u64 {
     acc
 }
 
-/// Run the sweep: each `thread_counts` entry with pooling on, plus pooling
-/// ablations at the first and last counts. The base config's own `tuning`
-/// is overridden per point.
-pub fn measure_native_throughput(
-    base: &RunConfig,
-    scene: &Arc<Scene>,
-    thread_counts: &[u32],
-) -> ThroughputReport {
-    assert!(!thread_counts.is_empty(), "no thread counts to sweep");
-    let mut variants: Vec<NativeTuning> = thread_counts
-        .iter()
-        .map(|&t| NativeTuning {
-            kernel_threads: t,
-            buffer_pool: true,
-            ..NativeTuning::default()
-        })
-        .collect();
-    for &t in [thread_counts[0], *thread_counts.last().unwrap()].iter() {
-        let unpooled = NativeTuning {
-            kernel_threads: t,
-            buffer_pool: false,
-            ..NativeTuning::default()
-        };
-        if !variants.contains(&unpooled) {
-            variants.push(unpooled);
-        }
-    }
-
-    let mut points = Vec::with_capacity(variants.len());
-    let mut telemetry = None;
-    for tuning in variants {
-        let mut cfg = base.clone();
-        cfg.tuning = tuning;
-        let report = run_native(&cfg, Arc::clone(scene));
-        if telemetry.is_none() {
-            telemetry = report.telemetry.clone();
-        }
-        points.push(ThroughputPoint {
-            kernel_threads: tuning.kernel_threads,
-            buffer_pool: tuning.buffer_pool,
-            timing: report.host,
-            speedup_vs_1thread: 0.0, // filled below
-            output_checksum: fold_checksums(&report.frames),
-            pool_stats: report.pool_stats,
-        });
-    }
-
-    let baseline = points
-        .iter()
-        .find(|p| p.kernel_threads == 1 && p.buffer_pool)
-        .unwrap_or(&points[0])
-        .timing;
-    for p in points.iter_mut() {
-        p.speedup_vs_1thread = p.timing.speedup_over(&baseline);
-    }
-    let output_consistent = points
-        .windows(2)
-        .all(|w| w[0].output_checksum == w[1].output_checksum);
-
+/// Time one native run of `cfg` and fold the sequential reference film
+/// for the pixel gate.
+pub fn measure_native_throughput(cfg: &RunConfig, scene: &Arc<Scene>) -> ThroughputReport {
+    let report = run_native(cfg, Arc::clone(scene));
+    let reference = reference_frames(cfg, Arc::clone(scene));
     ThroughputReport {
-        config: base.clone(),
+        config: cfg.clone(),
         host_cpus: std::thread::available_parallelism()
             .map(|n| n.get() as u32)
             .unwrap_or(1),
-        points,
-        output_consistent,
-        telemetry,
+        timing: report.host,
+        output_checksum: fold_checksums(&report.frames),
+        reference_checksum: fold_checksums(&reference),
+        pool_stats: report.pool_stats,
+        telemetry: report.telemetry,
     }
 }
 
 impl ThroughputReport {
+    /// True when the native film equals the sequential reference.
+    pub fn output_consistent(&self) -> bool {
+        self.output_checksum == self.reference_checksum
+    }
+
     /// Render the report as the `BENCH_native_pipeline.json` document.
     pub fn to_json(&self) -> String {
         let config = Json::obj()
@@ -138,40 +81,22 @@ impl ThroughputReport {
             .field("height", Json::U64(u64::from(self.config.height)))
             .field("frames", Json::U64(self.config.frames))
             .field("seed", Json::U64(self.config.seed));
-        let points = Json::Arr(
-            self.points
-                .iter()
-                .map(|p| {
-                    Json::obj()
-                        .field("kernel_threads", Json::U64(u64::from(p.kernel_threads)))
-                        .field("buffer_pool", Json::Bool(p.buffer_pool))
-                        .field("wall_secs", Json::F64(p.timing.wall_secs))
-                        .field("frames_per_sec", Json::F64(p.timing.frames_per_sec))
-                        .field("mpixels_per_sec", Json::F64(p.timing.mpixels_per_sec))
-                        .field("speedup_vs_1thread", Json::F64(p.speedup_vs_1thread))
-                        .field(
-                            "output_checksum",
-                            Json::str(format!("{:#018x}", p.output_checksum)),
-                        )
-                        .field("pool_recycled", Json::U64(p.pool_stats.recycled))
-                        .field("pool_fresh", Json::U64(p.pool_stats.fresh))
-                })
-                .collect(),
-        );
+        let point = Json::obj()
+            .field("wall_secs", Json::F64(self.timing.wall_secs))
+            .field("frames_per_sec", Json::F64(self.timing.frames_per_sec))
+            .field("mpixels_per_sec", Json::F64(self.timing.mpixels_per_sec))
+            .field(
+                "output_checksum",
+                Json::str(format!("{:#018x}", self.output_checksum)),
+            )
+            .field("pool_recycled", Json::U64(self.pool_stats.recycled))
+            .field("pool_fresh", Json::U64(self.pool_stats.fresh));
         let mut doc = Json::obj()
             .field("bench", Json::str("native_pipeline"))
             .field("config", config)
             .field("host_cpus", Json::U64(u64::from(self.host_cpus)))
-            .field(
-                "note",
-                Json::str(
-                    "kernel-thread speedup is bounded by host_cpus; \
-                     on a single-CPU host the curve is flat at ~1x and the >=2x \
-                     at 4 threads shape requires >=4 real cores",
-                ),
-            )
-            .field("output_consistent", Json::Bool(self.output_consistent))
-            .field("points", points);
+            .field("output_consistent", Json::Bool(self.output_consistent()))
+            .field("points", Json::Arr(vec![point]));
         if let Some(snap) = &self.telemetry {
             doc = doc.field("telemetry", snapshot_to_tree(snap));
         }
@@ -193,28 +118,29 @@ impl ThroughputReport {
         );
         let _ = writeln!(
             out,
-            "{:>14} {:>6} {:>10} {:>10} {:>9} {:>9}",
-            "kernel_threads", "pool", "wall_s", "frames/s", "Mpx/s", "speedup"
+            "{:>10} {:>10} {:>9} {:>14}",
+            "wall_s", "frames/s", "Mpx/s", "pool reuse"
         );
-        for p in &self.points {
-            let _ = writeln!(
-                out,
-                "{:>14} {:>6} {:>10.3} {:>10.2} {:>9.2} {:>8.2}x",
-                p.kernel_threads,
-                if p.buffer_pool { "on" } else { "off" },
-                p.timing.wall_secs,
-                p.timing.frames_per_sec,
-                p.timing.mpixels_per_sec,
-                p.speedup_vs_1thread,
-            );
-        }
         let _ = writeln!(
             out,
-            "output {}",
-            if self.output_consistent {
-                "bit-identical across all points"
+            "{:>10.3} {:>10.2} {:>9.2} {:>14}",
+            self.timing.wall_secs,
+            self.timing.frames_per_sec,
+            self.timing.mpixels_per_sec,
+            format!(
+                "{}/{}",
+                self.pool_stats.recycled,
+                self.pool_stats.recycled + self.pool_stats.fresh
+            ),
+        );
+        let _ = writeln!(
+            out,
+            "output {:#018x} {}",
+            self.output_checksum,
+            if self.output_consistent() {
+                "matches the sequential reference"
             } else {
-                "DIVERGED — tuning changed pixels!"
+                "DIVERGED from the sequential reference!"
             }
         );
         out
@@ -247,20 +173,14 @@ mod tests {
     #[test]
     fn sweep_is_consistent_and_json_well_formed() {
         let (cfg, scene) = tiny();
-        let report = measure_native_throughput(&cfg, &scene, &[1, 2]);
-        assert!(report.output_consistent, "tuning changed pixels");
-        // 2 pooled points + 2 unpooled ablations.
-        assert_eq!(report.points.len(), 4);
-        let base = &report.points[0];
-        assert_eq!(base.kernel_threads, 1);
-        assert!((base.speedup_vs_1thread - 1.0).abs() < 1e-9);
-        assert!(base.timing.frames_per_sec > 0.0);
+        let report = measure_native_throughput(&cfg, &scene);
+        assert!(report.output_consistent(), "native film diverged");
+        assert!(report.timing.frames_per_sec > 0.0);
         let json = report.to_json();
         for key in [
             "\"bench\": \"native_pipeline\"",
             "\"host_cpus\"",
-            "\"kernel_threads\"",
-            "\"speedup_vs_1thread\"",
+            "\"frames_per_sec\"",
             "\"output_consistent\": true",
             "\"pool_recycled\"",
         ] {
@@ -274,6 +194,6 @@ mod tests {
         );
         assert_eq!(json.matches('[').count(), json.matches(']').count());
         let text = report.render_text();
-        assert!(text.contains("bit-identical"));
+        assert!(text.contains("matches the sequential reference"));
     }
 }

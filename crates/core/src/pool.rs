@@ -14,7 +14,7 @@
 //! * **No stale pixels** — [`BufferPool::acquire`] returns an image
 //!   byte-identical to a fresh [`Image::new`] (black, fully opaque), and
 //!   [`BufferPool::acquire_filled`] overwrites every byte from the given
-//!   payload. Pooled and unpooled runs therefore produce identical output.
+//!   payload, so a recycled buffer carries nothing from its last holder.
 //! * **Bounded** — at most `max_free` buffers are retained; extra
 //!   releases simply drop their allocation.
 
@@ -31,8 +31,7 @@ pub struct PoolStats {
     pub fresh: u64,
     /// Buffers returned to the free list.
     pub returned: u64,
-    /// Buffers dropped because the free list was full (or the pool
-    /// disabled).
+    /// Buffers dropped because the free list was full.
     pub dropped: u64,
 }
 
@@ -43,12 +42,10 @@ struct Inner {
 }
 
 /// A shared, thread-safe pool of recycled image allocations. Cloning is
-/// cheap and shares the free list; a disabled pool (the `buffer_pool:
-/// false` knob) allocates fresh on every acquire and drops every release,
-/// so both modes run the exact same calling code.
+/// cheap and shares the free list.
 #[derive(Clone)]
 pub struct BufferPool {
-    inner: Option<Arc<Mutex<Inner>>>,
+    inner: Arc<Mutex<Inner>>,
 }
 
 impl BufferPool {
@@ -60,35 +57,17 @@ impl BufferPool {
     /// A pool retaining at most `max_free` released buffers.
     pub fn new(max_free: usize) -> BufferPool {
         BufferPool {
-            inner: Some(Arc::new(Mutex::new(Inner {
+            inner: Arc::new(Mutex::new(Inner {
                 free: Vec::new(),
                 max_free,
                 stats: PoolStats::default(),
-            }))),
+            })),
         }
-    }
-
-    /// A pass-through pool: every acquire allocates, every release drops.
-    pub fn disabled() -> BufferPool {
-        BufferPool { inner: None }
-    }
-
-    /// Build from the spec knob.
-    pub fn from_enabled(enabled: bool) -> BufferPool {
-        if enabled {
-            BufferPool::new(Self::DEFAULT_MAX_FREE)
-        } else {
-            BufferPool::disabled()
-        }
-    }
-
-    pub fn is_enabled(&self) -> bool {
-        self.inner.is_some()
     }
 
     fn take_buffer(&self, len: usize) -> Vec<u8> {
-        if let Some(inner) = &self.inner {
-            let mut inner = inner.lock();
+        {
+            let mut inner = self.inner.lock();
             if let Some(mut buf) = inner.free.pop() {
                 inner.stats.recycled += 1;
                 buf.clear();
@@ -97,6 +76,7 @@ impl BufferPool {
             }
             inner.stats.fresh += 1;
         }
+        // A fresh allocation happens outside the lock.
         vec![0u8; len]
     }
 
@@ -122,34 +102,26 @@ impl BufferPool {
     }
 
     /// Return an image's allocation to the free list (dropped if the list
-    /// is full or the pool disabled).
+    /// is full).
     pub fn release(&self, img: Image) {
         let buf = img.into_raw();
-        if let Some(inner) = &self.inner {
-            let mut inner = inner.lock();
-            if inner.free.len() < inner.max_free {
-                inner.stats.returned += 1;
-                inner.free.push(buf);
-                return;
-            }
+        let mut inner = self.inner.lock();
+        if inner.free.len() < inner.max_free {
+            inner.stats.returned += 1;
+            inner.free.push(buf);
+        } else {
             inner.stats.dropped += 1;
         }
     }
 
-    /// Snapshot of the reuse counters (all zero for a disabled pool).
+    /// Snapshot of the reuse counters.
     pub fn stats(&self) -> PoolStats {
-        match &self.inner {
-            Some(inner) => inner.lock().stats,
-            None => PoolStats::default(),
-        }
+        self.inner.lock().stats
     }
 
     /// Buffers currently sitting on the free list.
     pub fn free_len(&self) -> usize {
-        match &self.inner {
-            Some(inner) => inner.lock().free.len(),
-            None => 0,
-        }
+        self.inner.lock().free.len()
     }
 }
 
@@ -210,19 +182,6 @@ mod tests {
         let s = pool.stats();
         assert_eq!(s.returned, 2);
         assert_eq!(s.dropped, 3);
-    }
-
-    #[test]
-    fn disabled_pool_is_transparent() {
-        let pool = BufferPool::disabled();
-        assert!(!pool.is_enabled());
-        let img = pool.acquire(3, 3);
-        assert_eq!(img, Image::new(3, 3));
-        pool.release(img);
-        assert_eq!(pool.free_len(), 0);
-        assert_eq!(pool.stats(), PoolStats::default());
-        assert!(BufferPool::from_enabled(true).is_enabled());
-        assert!(!BufferPool::from_enabled(false).is_enabled());
     }
 
     #[test]

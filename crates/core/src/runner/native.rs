@@ -206,8 +206,9 @@ fn try_decode_pooled(mut b: Bytes, pool: &BufferPool) -> Result<Frame, DecodeFai
     })
 }
 
+/// Unpooled decode: a pool that retains nothing allocates every buffer.
 fn try_decode(b: Bytes) -> Result<Frame, DecodeFailure> {
-    try_decode_pooled(b, &BufferPool::disabled())
+    try_decode_pooled(b, &BufferPool::new(0))
 }
 
 /// Inverse of [`encode_frame`]; panics on malformed input.
@@ -357,8 +358,7 @@ pub fn run_native(cfg: &RunConfig, scene: Arc<Scene>) -> NativeReport {
     let bounds = Image::strip_bounds(cfg.height, cfg.pipelines);
     // One shared pool: a stage releasing its sent frame feeds the next
     // stage's decode, so steady state runs with a fixed set of buffers.
-    let pool = BufferPool::from_enabled(cfg.tuning.buffer_pool);
-    let kernel_threads = cfg.tuning.kernel_threads as usize;
+    let pool = BufferPool::new(BufferPool::DEFAULT_MAX_FREE);
     // Telemetry mirrors the span log into its event stream, so an
     // enabled sink collects spans even when the caller did not ask for a
     // trace in the report.
@@ -518,12 +518,7 @@ pub fn run_native(cfg: &RunConfig, scene: Arc<Scene>) -> NativeReport {
                                 let img = frame.image.as_mut().expect("pixels");
                                 match seg {
                                     ExecSegment::Single(j) => {
-                                        chain[*j].apply_vectored(
-                                            img,
-                                            &ctx,
-                                            backend,
-                                            kernel_threads,
-                                        );
+                                        chain[*j].apply_vectored(img, &ctx, backend, 1);
                                         let now = Instant::now();
                                         rec.span_kind(
                                             StageKind::PIPELINE_FILTERS[*j],
@@ -535,7 +530,7 @@ pub fn run_native(cfg: &RunConfig, scene: Arc<Scene>) -> NativeReport {
                                         prev = now;
                                     }
                                     ExecSegment::Fused(pass, idxs) => {
-                                        pass.apply_chunked(img, &ctx, kernel_threads);
+                                        pass.apply(img, &ctx);
                                         let now = Instant::now();
                                         // One traversal served the whole
                                         // run: attribute an equal share of
@@ -724,7 +719,7 @@ pub fn run_native(cfg: &RunConfig, scene: Arc<Scene>) -> NativeReport {
 mod tests {
     use super::*;
     use crate::reference::reference_frames;
-    use crate::spec::{Arrangement, Fidelity, NativeTuning};
+    use crate::spec::{Arrangement, Fidelity};
     use scc_render::CityConfig;
 
     fn scene() -> Arc<Scene> {
@@ -988,25 +983,6 @@ mod tests {
     }
 
     #[test]
-    fn kernel_threads_and_pooling_do_not_change_output() {
-        let base = cfg(RendererMode::SingleRenderer, 2, 3);
-        let reference = reference_frames(&base, scene());
-        for (threads, pooled) in [(1u32, false), (4, true), (4, false), (2, true)] {
-            let mut c = base.clone();
-            c.tuning = NativeTuning {
-                kernel_threads: threads,
-                buffer_pool: pooled,
-                ..NativeTuning::default()
-            };
-            let report = run_native(&c, scene());
-            assert_eq!(
-                report.frames, reference,
-                "threads={threads} pooled={pooled} diverged from reference"
-            );
-        }
-    }
-
-    #[test]
     fn pool_recycles_and_host_timing_is_populated() {
         let c = cfg(RendererMode::SingleRenderer, 2, 5);
         let report = run_native(&c, scene());
@@ -1016,11 +992,6 @@ mod tests {
         assert_eq!(report.host.frames, 5);
         assert!(report.host.frames_per_sec > 0.0);
         assert!(report.host.wall_secs > 0.0);
-
-        let mut unpooled = c.clone();
-        unpooled.tuning.buffer_pool = false;
-        let report = run_native(&unpooled, scene());
-        assert_eq!(report.pool_stats, PoolStats::default());
     }
 
     #[test]

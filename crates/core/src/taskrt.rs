@@ -293,7 +293,7 @@ impl Engine {
             ScheduleFlavor::Des => 0x7461_736b_7274_0002u64,
         };
         let cap = cfg.task_tuning.queue_capacity.max(1) as usize;
-        let pool = crate::pool::BufferPool::from_enabled(cfg.tuning.buffer_pool);
+        let pool = crate::pool::BufferPool::new(crate::pool::BufferPool::DEFAULT_MAX_FREE);
 
         Engine {
             flavor,

@@ -11,8 +11,8 @@ use scc_core::runner::native::{decode_frame_checked, encode_frame};
 use scc_core::viz::frame_checksum;
 use scc_core::Frame;
 use scc_core::{
-    reference::reference_frames, run_native, FaultSpec, Fidelity, NativeTuning, RunConfig,
-    SimRunner, StallSpec,
+    reference::reference_frames, run_native, FaultSpec, Fidelity, FuseChoice, KernelChoice,
+    RunConfig, SimRunner, StallSpec,
 };
 use scc_filters::{Image, StripInfo};
 use scc_render::{CityConfig, Scene};
@@ -177,14 +177,14 @@ proptest! {
         }
     }
 
-    /// The native runner under message faults, with arbitrary host tuning
-    /// (chunked kernels, buffer pool on/off): retransmission recovers
-    /// every frame and the tuning stays invisible in the pixels. No
-    /// wall-clock assumptions — only delivered bytes are asserted.
+    /// The native runner under message faults, with arbitrary kernel
+    /// tuning (scalar/SIMD backend, fusion off/on): retransmission
+    /// recovers every frame and the tuning stays invisible in the pixels.
+    /// No wall-clock assumptions — only delivered bytes are asserted.
     #[test]
     fn native_faults_with_any_tuning_never_lose_a_frame(
-        kernel_threads in 1u32..5,
-        buffer_pool in any::<bool>(),
+        simd in any::<bool>(),
+        fused in any::<bool>(),
         drop_pct in 0u32..4,
         frames in 1u64..3,
         seed in 0u64..1000,
@@ -202,7 +202,8 @@ proptest! {
                 retry_budget: 5,
                 ..FaultSpec::default()
             })
-            .tuning(NativeTuning { kernel_threads, buffer_pool, ..NativeTuning::default() })
+            .kernel(if simd { KernelChoice::Simd } else { KernelChoice::Scalar })
+            .fuse(if fused { FuseChoice::On } else { FuseChoice::Off })
             .build()
             .expect("valid config");
         let mut clean = cfg.clone();

@@ -106,21 +106,6 @@ proptest! {
             "returned buffers either sit free or were recycled");
     }
 
-    /// A disabled pool is transparent for any usage pattern.
-    #[test]
-    fn disabled_pool_is_always_transparent(
-        geoms in prop::collection::vec(arb_geometry(), 1..8),
-    ) {
-        let pool = BufferPool::disabled();
-        for &(w, h) in &geoms {
-            let img = pool.acquire(w, h);
-            prop_assert_eq!(&img, &Image::new(w, h));
-            pool.release(img);
-            prop_assert_eq!(pool.free_len(), 0);
-        }
-        prop_assert_eq!(pool.stats(), scc_core::PoolStats::default());
-    }
-
     /// `chunk_rows` tiles `0..rows` exactly for any (rows, workers):
     /// contiguous, non-empty, near-equal chunks, never more than
     /// `workers` of them.

@@ -75,17 +75,6 @@ fn all_three_runners_agree_with_each_other() {
     let n = checksums(&native.frames);
     assert_eq!(a, b, "sim vs DES");
     assert_eq!(a, n, "sim vs native");
-
-    // The native runner's host tuning (chunked kernels + buffer pool) is
-    // a pure perf knob; the agreement must hold at any setting.
-    let mut tuned = c.clone();
-    tuned.tuning = scc_core::NativeTuning {
-        kernel_threads: 3,
-        buffer_pool: true,
-        ..scc_core::NativeTuning::default()
-    };
-    let native_tuned = run_native(&tuned, scene());
-    assert_eq!(a, checksums(&native_tuned.frames), "sim vs tuned native");
 }
 
 #[test]
@@ -117,8 +106,8 @@ fn chaos_walkthrough_delivers_every_frame() {
     );
 
     // Native: no core stalls (threads are real), message faults only,
-    // with host-friendly timeouts — and the most aggressive host tuning,
-    // so retransmission, chunked kernels and buffer recycling all overlap.
+    // with host-friendly timeouts, so retransmission and buffer
+    // recycling overlap.
     let mut nc = c.clone();
     nc.fault = Some(FaultSpec {
         drop_rate: 0.02,
@@ -127,11 +116,6 @@ fn chaos_walkthrough_delivers_every_frame() {
         retry_budget: 5,
         ..FaultSpec::default()
     });
-    nc.tuning = scc_core::NativeTuning {
-        kernel_threads: 4,
-        buffer_pool: true,
-        ..scc_core::NativeTuning::default()
-    };
     let native = run_native(&nc, scene());
     assert_eq!(
         checksums(&native.frames),
